@@ -104,12 +104,10 @@ func NewVPA(deployment string, headroom float64, minCPU, maxCPU int) (*VPA, erro
 func (v *VPA) Recommend(c *Cluster) (int, bool) {
 	var maxUsage int
 	found := false
-	for _, m := range c.PodMetrics() {
-		if m.Deployment == v.Deployment {
+	for _, p := range c.deploymentPods(v.Deployment) {
+		if p.Phase == PodRunning {
 			found = true
-			if m.CPUMilli > maxUsage {
-				maxUsage = m.CPUMilli
-			}
+			maxUsage = max(maxUsage, p.cpuUsageMilli)
 		}
 	}
 	if !found {

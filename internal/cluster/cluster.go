@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dragster/internal/telemetry"
@@ -73,6 +74,8 @@ type Deployment struct {
 	Name     string
 	Spec     ResourceSpec
 	Replicas int // desired
+
+	pods []*Pod // live pods, in creation order
 }
 
 // node is a worker machine.
@@ -109,8 +112,17 @@ type Cluster struct {
 	nodes       map[string]*node
 	nodeOrder   []string
 	deployments map[string]*Deployment
-	pods        map[string]*Pod
-	podOrder    []string
+	pods        map[string]*Pod // live pods by name
+
+	// order is the cluster-wide walk order: every live pod in creation
+	// order, plus the terminated ones not yet compacted away. dead counts
+	// the latter; terminatePod compacts once they outnumber the live
+	// pods, so len(order) ≤ 2·len(pods) and walks stay O(live pods).
+	order []*Pod
+	dead  int
+	// runningCPU is the CPU reserved by Running pods, kept in step at
+	// placement, termination and eviction.
+	runningCPU int
 
 	clock       int64 // seconds
 	podSeq      int
@@ -120,9 +132,8 @@ type Cluster struct {
 	tracer      *telemetry.Tracer
 
 	// metricsBuf backs PodMetrics and podsBuf backs PodsView: the monitor
-	// scrapes every pod once per slot and the substrates walk the pod list
-	// once per tick, so the response rows are reused instead of allocated
-	// per call.
+	// scrapes every pod once per slot, so the response rows are reused
+	// instead of allocated per call.
 	metricsBuf []PodMetric
 	podsBuf    []*Pod
 }
@@ -201,11 +212,11 @@ func (c *Cluster) RemoveNode(name string) error {
 	// Evict: mark the victims pending and clear their placement. The
 	// deployment's desired count is unchanged, so reconcile/schedule will
 	// try to place them elsewhere.
-	for _, podName := range c.podOrder {
-		p := c.pods[podName]
-		if p == nil || p.NodeName != name {
+	for _, p := range c.order {
+		if p.Phase != PodRunning || p.NodeName != name {
 			continue
 		}
+		c.runningCPU -= p.Spec.CPUMilli
 		p.Phase = PodPending
 		p.NodeName = ""
 		p.StartedAt = 0
@@ -290,21 +301,18 @@ func (c *Cluster) Resize(deployment string, spec ResourceSpec) error {
 	}
 	d.Spec = spec
 	// Rolling replacement: terminate existing pods, let reconcile recreate.
-	for _, p := range c.deploymentPods(deployment) {
-		c.terminatePod(p)
-	}
+	c.terminateAll(d)
 	c.reconcile(deployment)
 	return nil
 }
 
 // DeleteDeployment removes the deployment and terminates its pods.
 func (c *Cluster) DeleteDeployment(deployment string) error {
-	if _, ok := c.deployments[deployment]; !ok {
+	d, ok := c.deployments[deployment]
+	if !ok {
 		return fmt.Errorf("cluster: unknown deployment %q", deployment)
 	}
-	for _, p := range c.deploymentPods(deployment) {
-		c.terminatePod(p)
-	}
+	c.terminateAll(d)
 	delete(c.deployments, deployment)
 	return nil
 }
@@ -313,20 +321,11 @@ func (c *Cluster) DeleteDeployment(deployment string) error {
 // and schedules pending pods.
 func (c *Cluster) reconcile(deployment string) {
 	d := c.deployments[deployment]
-	pods := c.deploymentPods(deployment)
-	live := pods[:0]
-	for _, p := range pods {
-		if p.Phase != PodTerminated {
-			live = append(live, p)
-		}
-	}
-	for len(live) > d.Replicas {
+	for len(d.pods) > d.Replicas {
 		// Scale down newest-first so long-lived pods keep their slots.
-		victim := live[len(live)-1]
-		c.terminatePod(victim)
-		live = live[:len(live)-1]
+		c.terminatePod(d.pods[len(d.pods)-1])
 	}
-	for len(live) < d.Replicas {
+	for len(d.pods) < d.Replicas {
 		c.podSeq++
 		p := &Pod{
 			Name:       fmt.Sprintf("%s-%d", deployment, c.podSeq),
@@ -336,8 +335,8 @@ func (c *Cluster) reconcile(deployment string) {
 			CreatedAt:  c.clock,
 		}
 		c.pods[p.Name] = p
-		c.podOrder = append(c.podOrder, p.Name)
-		live = append(live, p)
+		c.order = append(c.order, p)
+		d.pods = append(d.pods, p)
 	}
 	c.schedule()
 }
@@ -349,9 +348,8 @@ func (c *Cluster) schedule() {
 	if c.injector != nil && c.injector.HoldScheduling(c.clock) {
 		return // delay spike: pending pods wait for a later pass
 	}
-	for _, name := range c.podOrder {
-		p := c.pods[name]
-		if p == nil || p.Phase != PodPending {
+	for _, p := range c.order {
+		if p.Phase != PodPending {
 			continue
 		}
 		var best *node
@@ -372,6 +370,7 @@ func (c *Cluster) schedule() {
 		}
 		best.usedCPU += p.Spec.CPUMilli
 		best.usedMem += p.Spec.MemoryMB
+		c.runningCPU += p.Spec.CPUMilli
 		p.NodeName = best.name
 		p.Phase = PodRunning
 		p.StartedAt = c.clock
@@ -383,25 +382,57 @@ func (c *Cluster) schedule() {
 	}
 }
 
+// terminatePod terminates one live pod: it releases the pod's node
+// resources and drops it from its deployment's list, keeping the rest in
+// creation order. The pod stays in the walk order until the dead
+// outnumber the live; then one compaction pass drops them all, keeping
+// creation order: O(1) amortised per termination.
 func (c *Cluster) terminatePod(p *Pod) {
+	d := c.deployments[p.Deployment]
+	for i := len(d.pods) - 1; i >= 0; i-- { // victims are usually last
+		if d.pods[i] == p {
+			d.pods = slices.Delete(d.pods, i, i+1) // zeroes the stale tail
+			break
+		}
+	}
 	if p.Phase == PodRunning {
 		n := c.nodes[p.NodeName]
 		n.usedCPU -= p.Spec.CPUMilli
 		n.usedMem -= p.Spec.MemoryMB
+		c.runningCPU -= p.Spec.CPUMilli
 	}
 	p.Phase = PodTerminated
 	p.cpuUsageMilli = 0
 	delete(c.pods, p.Name)
-}
-
-func (c *Cluster) deploymentPods(deployment string) []*Pod {
-	var out []*Pod
-	for _, name := range c.podOrder {
-		if p := c.pods[name]; p != nil && p.Deployment == deployment {
-			out = append(out, p)
+	c.dead++
+	if c.dead <= len(c.pods) {
+		return
+	}
+	live := c.order[:0]
+	for _, q := range c.order {
+		if q.Phase != PodTerminated {
+			live = append(live, q)
 		}
 	}
-	return out
+	clear(c.order[len(live):])
+	c.order = live
+	c.dead = 0
+}
+
+// terminateAll terminates every live pod of a deployment, newest first.
+func (c *Cluster) terminateAll(d *Deployment) {
+	for len(d.pods) > 0 {
+		c.terminatePod(d.pods[len(d.pods)-1])
+	}
+}
+
+// deploymentPods returns a deployment's live pods in creation order, or
+// nil for an unknown deployment. The slice is the index itself: read-only.
+func (c *Cluster) deploymentPods(deployment string) []*Pod {
+	if d, ok := c.deployments[deployment]; ok {
+		return d.pods
+	}
+	return nil
 }
 
 // RunningPods returns the number of Running pods in a deployment — the
@@ -430,8 +461,8 @@ func (c *Cluster) PendingPods(deployment string) int {
 // Pods returns a snapshot (copies) of all live pods, ordered by creation.
 func (c *Cluster) Pods() []Pod {
 	out := make([]Pod, 0, len(c.pods))
-	for _, name := range c.podOrder {
-		if p := c.pods[name]; p != nil {
+	for _, p := range c.order {
+		if p.Phase != PodTerminated {
 			out = append(out, *p)
 		}
 	}
@@ -441,15 +472,13 @@ func (c *Cluster) Pods() []Pod {
 // PodsView returns pointers to all live pods, ordered by creation,
 // without copying. The slice aliases a reused scratch buffer (the same
 // contract as PodMetrics): it is read-only and only valid until the next
-// PodsView call or any cluster mutation. The per-tick usage-reporting
-// loop in the stream substrates uses it to avoid copying every pod once
-// per simulated second.
+// PodsView call or any cluster mutation.
 //
 //lint:hotpath
 func (c *Cluster) PodsView() []*Pod {
 	out := c.podsBuf[:0]
-	for _, name := range c.podOrder {
-		if p := c.pods[name]; p != nil {
+	for _, p := range c.order {
+		if p.Phase != PodTerminated {
 			out = append(out, p)
 		}
 	}
@@ -477,15 +506,7 @@ func (c *Cluster) Deployments() []string {
 }
 
 // TotalRunningCPUMilli returns the CPU currently reserved by running pods.
-func (c *Cluster) TotalRunningCPUMilli() int {
-	var s int
-	for _, p := range c.pods {
-		if p.Phase == PodRunning {
-			s += p.Spec.CPUMilli
-		}
-	}
-	return s
-}
+func (c *Cluster) TotalRunningCPUMilli() int { return c.runningCPU }
 
 // Tick advances the cluster clock by the given seconds, accruing cost for
 // every running pod and retrying scheduling of pending pods.
@@ -521,14 +542,34 @@ func (c *Cluster) ReportCPUUsage(podName string, milli int) error {
 	if !ok {
 		return ErrUnknownPod
 	}
-	if milli < 0 {
-		milli = 0
-	}
-	if milli > p.Spec.CPUMilli {
-		milli = p.Spec.CPUMilli
-	}
-	p.cpuUsageMilli = milli
+	p.cpuUsageMilli = clampUsage(milli, p.Spec.CPUMilli)
 	return nil
+}
+
+// ReportDeploymentUsage reports the same utilization (usage/limit) for
+// every running pod of a deployment: each pod's usage becomes
+// int(util·limit), clamped as in ReportCPUUsage. The stream substrates
+// call it once per operator per simulated second, so it walks only the
+// deployment's own pods. An unknown deployment has no pods to report.
+//
+//lint:hotpath
+func (c *Cluster) ReportDeploymentUsage(deployment string, util float64) {
+	for _, p := range c.deploymentPods(deployment) {
+		if p.Phase == PodRunning {
+			p.cpuUsageMilli = clampUsage(int(util*float64(p.Spec.CPUMilli)), p.Spec.CPUMilli)
+		}
+	}
+}
+
+// clampUsage bounds a reported usage to [0, limit].
+func clampUsage(milli, limit int) int {
+	if milli < 0 {
+		return 0
+	}
+	if milli > limit {
+		return limit
+	}
+	return milli
 }
 
 // PodMetric is one row of the metrics-server response.
@@ -545,9 +586,8 @@ type PodMetric struct {
 // PodMetrics call; copy it to retain rows.
 func (c *Cluster) PodMetrics() []PodMetric {
 	out := c.metricsBuf[:0]
-	for _, name := range c.podOrder {
-		p := c.pods[name]
-		if p == nil || p.Phase != PodRunning {
+	for _, p := range c.order {
+		if p.Phase != PodRunning {
 			continue
 		}
 		out = append(out, PodMetric{
@@ -566,9 +606,9 @@ func (c *Cluster) PodMetrics() []PodMetric {
 func (c *Cluster) DeploymentUtilization(deployment string) (float64, bool) {
 	var sum float64
 	n := 0
-	for _, m := range c.PodMetrics() {
-		if m.Deployment == deployment {
-			sum += float64(m.CPUMilli) / float64(m.CPULimit)
+	for _, p := range c.deploymentPods(deployment) {
+		if p.Phase == PodRunning {
+			sum += float64(p.cpuUsageMilli) / float64(p.Spec.CPUMilli)
 			n++
 		}
 	}

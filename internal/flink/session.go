@@ -108,10 +108,6 @@ type Job struct {
 	lastReport *SlotReport
 	hooks      ChaosHooks
 	tracer     *telemetry.Tracer
-
-	// depUtil is reportPodUsage's deployment→utilization working map,
-	// cleared and refilled once per tick instead of allocated per call.
-	depUtil map[string]float64
 }
 
 // SetChaosHooks installs (or, with nil, removes) the fault-injection
@@ -395,9 +391,7 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 		if err := acc.Tick(rates, st); err != nil {
 			return nil, err
 		}
-		if err := j.reportPodUsage(st.Ops); err != nil {
-			return nil, err
-		}
+		j.reportPodUsage(st.Ops)
 		if tickCluster {
 			j.session.k8s.Tick(1)
 		}
@@ -423,31 +417,14 @@ func (j *Job) runSlot(seconds int, rateAt func(sec int) []float64, tickCluster b
 
 // reportPodUsage spreads each operator's utilization uniformly over its
 // running pods and reports it to the metrics server. Runs once per
-// simulated second, so the deployment map is reused and the pod list is
-// the cluster's no-copy view.
+// simulated second, so each operator touches only its own deployment's
+// pods.
 //
 //lint:hotpath
-func (j *Job) reportPodUsage(ops []streamsim.OpTick) error {
-	if j.depUtil == nil {
-		j.depUtil = make(map[string]float64, len(j.deployments))
-	}
-	clear(j.depUtil)
+func (j *Job) reportPodUsage(ops []streamsim.OpTick) {
 	for i, dep := range j.deployments {
-		j.depUtil[dep] = ops[i].Util
+		j.session.k8s.ReportDeploymentUsage(dep, ops[i].Util)
 	}
-	for _, p := range j.session.k8s.PodsView() {
-		util, ok := j.depUtil[p.Deployment]
-		if !ok || p.Phase != cluster.PodRunning {
-			continue
-		}
-		if err := j.session.k8s.ReportCPUUsage(p.Name, int(util*float64(p.Spec.CPUMilli))); err != nil {
-			// Only ErrUnknownPod is possible, and only if the pod list went
-			// stale mid-loop — a real bug worth surfacing, not swallowing.
-			//lint:allow hotpath cold error path: unknown pod is a cluster bug, never hit in steady state
-			return fmt.Errorf("flink: report usage for %s: %w", p.Name, err)
-		}
-	}
-	return nil
 }
 
 // LastReport returns the most recent slot report, or nil before the first

@@ -93,10 +93,6 @@ type Topology struct {
 
 	slot       int
 	lastReport *telemetry.SlotReport
-
-	// depUtil is reportPodUsage's deployment→utilization working map,
-	// cleared and refilled once per tick instead of allocated per call.
-	depUtil map[string]float64
 }
 
 // SubmitTopology deploys a topology: one supervisor deployment per bolt
@@ -243,9 +239,7 @@ func (t *Topology) RunSlot(seconds int, rateAt func(sec int) []float64) (*teleme
 		if err := acc.Tick(rates, st); err != nil {
 			return nil, err
 		}
-		if err := t.reportPodUsage(st.Ops); err != nil {
-			return nil, err
-		}
+		t.reportPodUsage(st.Ops)
 		t.storm.k8s.Tick(1)
 	}
 	names := make([]string, t.graph.NumOperators())
@@ -262,31 +256,14 @@ func (t *Topology) RunSlot(seconds int, rateAt func(sec int) []float64) (*teleme
 	return rep, nil
 }
 
-// reportPodUsage mirrors flink.Job.reportPodUsage: per-tick usage fan-out
-// over a reused deployment map and the cluster's no-copy pod view.
+// reportPodUsage mirrors flink.Job.reportPodUsage: one per-deployment
+// usage report per bolt per tick.
 //
 //lint:hotpath
-func (t *Topology) reportPodUsage(ops []streamsim.OpTick) error {
-	if t.depUtil == nil {
-		t.depUtil = make(map[string]float64, len(t.deps))
-	}
-	clear(t.depUtil)
+func (t *Topology) reportPodUsage(ops []streamsim.OpTick) {
 	for i, dep := range t.deps {
-		t.depUtil[dep] = ops[i].Util
+		t.storm.k8s.ReportDeploymentUsage(dep, ops[i].Util)
 	}
-	for _, p := range t.storm.k8s.PodsView() {
-		util, ok := t.depUtil[p.Deployment]
-		if !ok || p.Phase != cluster.PodRunning {
-			continue
-		}
-		if err := t.storm.k8s.ReportCPUUsage(p.Name, int(util*float64(p.Spec.CPUMilli))); err != nil {
-			// Only ErrUnknownPod is possible, and only if the pod list went
-			// stale mid-loop — a real bug worth surfacing, not swallowing.
-			//lint:allow hotpath cold error path: unknown pod is a cluster bug, never hit in steady state
-			return fmt.Errorf("storm: report usage for %s: %w", p.Name, err)
-		}
-	}
-	return nil
 }
 
 // LastReport returns the most recent slot report (nil before the first).
