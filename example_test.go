@@ -31,7 +31,7 @@ func ExampleNewGraphBuilder() {
 	// Output: throughput: 150 tuples/s
 }
 
-// ExampleGraph_Gradient shows the autodiff-based bottleneck signal: the
+// ExampleGraph_Gradient shows the reverse-mode bottleneck signal: the
 // saturated operator carries all the throughput gradient.
 func ExampleGraph_Gradient() {
 	b := dragster.NewGraphBuilder()

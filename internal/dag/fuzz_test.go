@@ -7,14 +7,20 @@ import (
 
 // FuzzGraphBuild drives Builder with arbitrary node kinds and edge lists.
 // Build must never panic: every malformed topology (cycles, dangling
-// operators, bad splitting weights, arity-mismatched throughput
-// functions) has to surface as an error. When Build succeeds, the graph
-// must satisfy its structural invariants and evaluate cleanly.
+// operators, arity-mismatched throughput functions) has to surface as an
+// error. A built graph must satisfy its structural invariants, evaluate
+// cleanly, and match the tape oracle's Lagrangian gradient bit for bit.
+//
+// Layout: n = 1 + data[0]%8 nodes; one byte b per node (kind b%3; for an
+// operator y = 25·(1+(b>>2)&3) and λ = (b>>4)/8); then (from, to, sel)
+// edge triples, decoded into h by fuzzH.
 func FuzzGraphBuild(f *testing.F) {
-	// A valid chain source → op → sink, a cycle, and a fan-out.
-	f.Add([]byte{3, 0, 1, 2, 0, 1, 1, 2})
-	f.Add([]byte{2, 1, 1, 0, 1, 1, 0})
-	f.Add([]byte{4, 0, 1, 1, 2, 0, 1, 1, 2, 1, 3, 2, 3})
+	// A valid chain source → op → sink, a cycle, a fan-out, and a
+	// two-source MinRate join.
+	f.Add([]byte{2, 0, 1, 2, 0, 1, 0, 1, 2, 0})
+	f.Add([]byte{1, 1, 1, 0, 1, 0, 1, 0, 0})
+	f.Add([]byte{3, 0, 0x31, 0x13, 2, 0, 1, 0, 0, 2, 0, 1, 3, 2, 2, 3, 6})
+	f.Add([]byte{4, 0, 0, 0x31, 0x94, 2, 0, 2, 0, 1, 2, 0, 2, 3, 1, 3, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			t.Skip("not enough bytes")
@@ -24,10 +30,11 @@ func FuzzGraphBuild(f *testing.F) {
 		if len(data) < n {
 			t.Skip("not enough bytes")
 		}
+		nodeBytes := data[:n]
 		b := &Builder{}
 		kinds := make([]Kind, n)
-		for i := 0; i < n; i++ {
-			kinds[i] = Kind(int(data[i]) % 3)
+		for i, nb := range nodeBytes {
+			kinds[i] = Kind(int(nb) % 3)
 			switch kinds[i] {
 			case Source:
 				b.Source("src")
@@ -37,16 +44,19 @@ func FuzzGraphBuild(f *testing.F) {
 				b.Sink("sink")
 			}
 		}
-		data = data[n:]
-		for len(data) >= 2 {
-			from := NodeID(int(data[0]) % n)
-			to := NodeID(int(data[1]) % n)
+		edgeBytes := data[n:]
+		indeg, outdeg := make([]int, n), make([]int, n)
+		for e := edgeBytes; len(e) >= 3; e = e[3:] {
+			outdeg[int(e[0])%n]++
+			indeg[int(e[1])%n]++
+		}
+		for e := edgeBytes; len(e) >= 3; e = e[3:] {
+			from, to := NodeID(int(e[0])%n), NodeID(int(e[1])%n)
 			var h ThroughputFunc
 			if kinds[from] == Operator {
-				h = Selectivity(0.5)
+				h = fuzzH(e[2], indeg[from])
 			}
-			b.Edge(from, to, h, 1.0)
-			data = data[2:]
+			b.Edge(from, to, h, 1/float64(outdeg[from]))
 		}
 
 		g, err := b.Build()
@@ -90,8 +100,10 @@ func FuzzGraphBuild(f *testing.F) {
 			rates[i] = 100
 		}
 		y := make([]float64, g.NumOperators())
-		for i := range y {
-			y[i] = 1
+		lambda := make([]float64, g.NumOperators())
+		for i, id := range g.Operators() {
+			y[i] = 25 * float64(1+(nodeBytes[id]>>2)&3)
+			lambda[i] = float64(nodeBytes[id]>>4) / 8
 		}
 		tp, err := g.Throughput(rates, y)
 		if err != nil {
@@ -100,5 +112,29 @@ func FuzzGraphBuild(f *testing.F) {
 		if math.IsNaN(tp) || math.IsInf(tp, 0) || tp < 0 {
 			t.Fatalf("Throughput = %v, want finite and non-negative", tp)
 		}
+		checkAgainstTape(t, g, rates, y, lambda)
 	})
+}
+
+// fuzzH decodes an edge's selector byte into an h of the given arity:
+// sel%3 picks Linear, MinRate or Tanh, (sel>>2)&3 the weights, and
+// sel&0x80 one input too many, which Build must reject.
+func fuzzH(sel byte, arity int) ThroughputFunc {
+	if sel&0x80 != 0 {
+		arity++
+	}
+	ks := make([]float64, arity)
+	for i := range ks {
+		ks[i] = []float64{0.5, 1, 2, 0.25}[(int(sel>>2)+i)&3]
+	}
+	switch sel % 3 {
+	case 0:
+		return Linear{K: ks}
+	case 1:
+		return MinRate{K: ks}
+	}
+	for i := range ks {
+		ks[i] /= 100
+	}
+	return Tanh{K1: 200, K: ks}
 }

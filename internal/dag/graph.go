@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"dragster/internal/autodiff"
 )
 
 // Kind classifies a node in the data stream graph.
@@ -293,8 +291,8 @@ func (g *Graph) topoSort() ([]NodeID, error) {
 	return order, nil
 }
 
-// probe runs a dummy evaluation to surface throughput-function dimension
-// mismatches at build time instead of first use.
+// probe runs a dummy evaluation and one Backprop per throughput function
+// to surface dimension mismatches at build time instead of first use.
 func (g *Graph) probe() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -309,8 +307,20 @@ func (g *Graph) probe() (err error) {
 	for i := range y {
 		y[i] = 1
 	}
-	_, err = g.Evaluate(rates, y)
-	return err
+	rep, err := g.Evaluate(rates, y)
+	if err != nil {
+		return err
+	}
+	for _, id := range g.operators {
+		in := make([]float64, len(g.predEdges[id]))
+		for k, ei := range g.predEdges[id] {
+			in[k] = rep.flows[ei]
+		}
+		for _, ei := range g.succEdges[id] {
+			g.hByID[ei].Backprop(in, 1, make([]float64, len(in)))
+		}
+	}
+	return nil
 }
 
 // NumOperators returns M, the number of operators.
@@ -512,56 +522,11 @@ func (g *Graph) Throughput(rates, y []float64) (float64, error) {
 	return rep.Throughput, nil
 }
 
-// evalTape records the topological evaluation on an autodiff tape and
-// returns the taped application throughput f plus the per-operator demand
-// Σ_{j∈S_i} h_{i,j}(e_i) (the unconstrained desired output used by the
-// soft-constraints of Eq. 11).
-func (g *Graph) evalTape(t *autodiff.Tape, rates []float64, vars []autodiff.Value) (f autodiff.Value, demand []autodiff.Value) {
-	flows := make([]autodiff.Value, len(g.edges))
-	inBuf := make([]autodiff.Value, g.maxInEdges)
-	demand = make([]autodiff.Value, len(g.operators))
-	total := t.Const(0)
-	for _, id := range g.topo {
-		switch g.kinds[id] {
-		case Source:
-			rate := rates[g.srcIndex[id]]
-			for _, ei := range g.succEdges[id] {
-				flows[ei] = t.Const(g.alphaByID[ei] * rate)
-			}
-		case Operator:
-			oi := g.opIndex[id]
-			in := inBuf[:len(g.predEdges[id])]
-			for k, ei := range g.predEdges[id] {
-				in[k] = flows[ei]
-			}
-			dem := t.Const(0)
-			for _, ei := range g.succEdges[id] {
-				want := g.hByID[ei].EvalAD(t, in)
-				dem = dem.Add(want)
-				flows[ei] = vars[oi].Scale(g.alphaByID[ei]).Min(want)
-			}
-			demand[oi] = dem
-		case Sink:
-			for _, ei := range g.predEdges[id] {
-				total = total.Add(flows[ei])
-			}
-		}
-	}
-	return total, demand
-}
-
-// Gradient returns f(y) and ∂f/∂y_i for every operator, computed by taping
-// the topological evaluation with reverse-mode autodiff (the substitute
-// for the paper's PyTorch-autograd bottleneck identification).
+// Gradient returns f(y) and ∂f/∂y_i for every operator (the substitute
+// for the paper's PyTorch-autograd bottleneck identification): the
+// Lagrangian gradient at λ = 0.
 func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
-	if err := g.checkEvalArgs(rates, y); err != nil {
-		return 0, nil, err
-	}
-	val, grad := autodiff.Gradient(y, func(t *autodiff.Tape, vars []autodiff.Value) autodiff.Value {
-		f, _ := g.evalTape(t, rates, vars)
-		return f
-	})
-	return val, grad, nil
+	return g.LagrangianGradient(rates, y, make([]float64, len(g.operators)))
 }
 
 // LagrangianGradient returns the per-slot Lagrangian of Eq. 13,
@@ -570,6 +535,11 @@ func (g *Graph) Gradient(rates, y []float64) (float64, []float64, error) {
 //
 // and its gradient with respect to y. The online saddle point and online
 // gradient descent algorithms maximize this over y.
+//
+// One EvaluateInto pass gives the value; one reverse-topological sweep over
+// its flows gives the gradient, accumulating in the order a reverse-mode
+// tape recorded along EvaluateInto would, so the two agree bit for bit
+// (DESIGN.md §10, "Analytic adjoint").
 func (g *Graph) LagrangianGradient(rates, y, lambda []float64) (float64, []float64, error) {
 	if err := g.checkEvalArgs(rates, y); err != nil {
 		return 0, nil, err
@@ -582,17 +552,57 @@ func (g *Graph) LagrangianGradient(rates, y, lambda []float64) (float64, []float
 			return 0, nil, fmt.Errorf("dag: multiplier λ[%d] = %v invalid", i, l)
 		}
 	}
-	val, grad := autodiff.Gradient(y, func(t *autodiff.Tape, vars []autodiff.Value) autodiff.Value {
-		f, demand := g.evalTape(t, rates, vars)
-		out := f
-		for i, dem := range demand {
-			if lambda[i] == 0 {
-				continue
-			}
-			// −λ_i·(demand_i − y_i)
-			out = out.Sub(dem.Sub(vars[i]).Scale(lambda[i]))
+	var rep FlowReport
+	if err := g.EvaluateInto(&rep, rates, y); err != nil {
+		return 0, nil, err
+	}
+	val := rep.Throughput
+	for i, l := range lambda {
+		if l != 0 {
+			val -= float64(l * (rep.Demand[i] - y[i])) // conversion: no fused multiply-add
 		}
-		return out
-	})
+	}
+
+	grad := make([]float64, len(g.operators))
+	adjFlow := make([]float64, len(g.edges))
+	dInBuf := make([]float64, g.maxInEdges)
+	for t := len(g.topo) - 1; t >= 0; t-- {
+		id := g.topo[t]
+		switch g.kinds[id] {
+		case Sink:
+			for _, ei := range g.predEdges[id] {
+				adjFlow[ei] = 1
+			}
+		case Operator:
+			oi := g.opIndex[id]
+			var lam float64 // +0 for λ_i = ±0, which contributes nothing
+			if lambda[oi] != 0 {
+				lam = lambda[oi]
+			}
+			preds := g.predEdges[id]
+			in, dIn := rep.inBuf[:len(preds)], dInBuf[:len(preds)]
+			for k, ei := range preds {
+				in[k] = rep.flows[ei]
+			}
+			clear(dIn)
+			gi := lam
+			succs := g.succEdges[id]
+			for k := len(succs) - 1; k >= 0; k-- {
+				ei := succs[k]
+				a := adjFlow[ei]
+				if rep.flows[ei] == g.alphaByID[ei]*y[oi] { // y side, ties included
+					gi += a * g.alphaByID[ei]
+					a = 0
+				}
+				if hAdj := a - lam; hAdj != 0 { // demand term adds −λ_i
+					g.hByID[ei].Backprop(in, hAdj, dIn)
+				}
+			}
+			grad[oi] = gi
+			for k, ei := range preds {
+				adjFlow[ei] = dIn[k]
+			}
+		}
+	}
 	return val, grad, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"dragster/internal/autodiff"
 )
 
 // ThroughputLearner is implemented by throughput functions whose
@@ -103,12 +101,12 @@ func (l *LearnedLinear) Eval(in []float64) float64 {
 	return l.K() * in[0]
 }
 
-// EvalAD implements ThroughputFunc.
-func (l *LearnedLinear) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
+// Backprop implements ThroughputFunc.
+func (l *LearnedLinear) Backprop(in []float64, adj float64, dIn []float64) {
 	if len(in) != 1 {
 		panic(fmt.Sprintf("dag: LearnedLinear expects 1 input, got %d", len(in)))
 	}
-	return in[0].Scale(l.K())
+	dIn[0] += adj * l.K()
 }
 
 // Name implements ThroughputFunc.

@@ -123,7 +123,7 @@ func TestLearnedLinearInGraph(t *testing.T) {
 	if th < 280 {
 		t.Errorf("throughput after learning k≈3: %v", th)
 	}
-	// Gradient path exercises EvalAD with the learned k.
+	// Gradient path exercises Backprop with the learned k.
 	_, grad, err := g.Gradient([]float64{100}, []float64{100})
 	if err != nil {
 		t.Fatal(err)

@@ -2,27 +2,31 @@
 // graph of sources, operators and a sink (§4.1 of the Dragster paper). It
 // provides the throughput functions h_{i,j} of Eq. 2, evaluation of the
 // application throughput f_t(y) under capacity truncation (Eq. 4), and its
-// gradient ∂f/∂y_i via reverse-mode autodiff — the quantity Dragster uses to
-// identify bottleneck operators.
+// gradient ∂f/∂y_i by an analytic adjoint pass (one forward evaluation, one
+// reverse-topological sweep) — the quantity Dragster uses to identify
+// bottleneck operators.
 package dag
 
 import (
 	"fmt"
 	"math"
-
-	"dragster/internal/autodiff"
 )
 
 // ThroughputFunc is the input→output throughput mapping h_{i,j} of an edge
 // (Eq. 3). Implementations must be increasing and concave in each input,
-// per the paper's modelling assumption, and must implement both a plain
-// float evaluation and a taped evaluation so gradients can flow.
+// per the paper's modelling assumption, and must supply their local
+// partials so the graph's reverse sweep can differentiate through them.
+// Build probes both methods once, so an arity mismatch in either surfaces
+// there rather than at first use.
 type ThroughputFunc interface {
 	// Eval maps the input throughput vector (ordered like the operator's
 	// predecessor list) to the emitted throughput on this edge.
 	Eval(inputs []float64) float64
-	// EvalAD is Eval recorded on an autodiff tape.
-	EvalAD(t *autodiff.Tape, inputs []autodiff.Value) autodiff.Value
+	// Backprop adds adj·∂h/∂inputs[k] to dIn[k] for every k. dIn has the
+	// length of inputs. Taking the upstream adjoint adj (rather than
+	// returning bare partials) lets an implementation fix the order of its
+	// multiplications, which the bit-exact gradient contract relies on.
+	Backprop(inputs []float64, adj float64, dIn []float64)
 	// Name identifies the functional form for logs and persistence.
 	Name() string
 }
@@ -57,10 +61,12 @@ func (l Linear) Eval(in []float64) float64 {
 	return s
 }
 
-// EvalAD implements ThroughputFunc.
-func (l Linear) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
+// Backprop implements ThroughputFunc: ∂h/∂e_k = k_k.
+func (l Linear) Backprop(in []float64, adj float64, dIn []float64) {
 	l.check(len(in))
-	return autodiff.Dot(l.K, in)
+	for k, c := range l.K {
+		dIn[k] += adj * c
+	}
 }
 
 // Name implements ThroughputFunc.
@@ -104,14 +110,17 @@ func (m MinRate) Eval(in []float64) float64 {
 	return out
 }
 
-// EvalAD implements ThroughputFunc.
-func (m MinRate) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
+// Backprop implements ThroughputFunc: the whole adjoint goes to the
+// attaining input, the first one on ties.
+func (m MinRate) Backprop(in []float64, adj float64, dIn []float64) {
 	m.check(len(in))
-	out := in[0].Scale(m.K[0])
+	arg, out := 0, m.K[0]*in[0]
 	for i := 1; i < len(in); i++ {
-		out = out.Min(in[i].Scale(m.K[i]))
+		if w := m.K[i] * in[i]; w < out {
+			arg, out = i, w
+		}
 	}
-	return out
+	dIn[arg] += adj * m.K[arg]
 }
 
 // Name implements ThroughputFunc.
@@ -156,10 +165,19 @@ func (t Tanh) Eval(in []float64) float64 {
 	return t.K1 * math.Tanh(s)
 }
 
-// EvalAD implements ThroughputFunc.
-func (t Tanh) EvalAD(_ *autodiff.Tape, in []autodiff.Value) autodiff.Value {
+// Backprop implements ThroughputFunc: ∂h/∂e_k = k1·(1 − tanh²(k·e))·k_k,
+// multiplied in that order.
+func (t Tanh) Backprop(in []float64, adj float64, dIn []float64) {
 	t.check(len(in))
-	return autodiff.Dot(t.K, in).Tanh().Scale(t.K1)
+	var s float64
+	for i, v := range in {
+		s += t.K[i] * v
+	}
+	th := math.Tanh(s)
+	g := adj * t.K1 * (1 - th*th)
+	for k, c := range t.K {
+		dIn[k] += g * c
+	}
 }
 
 // Name implements ThroughputFunc.
