@@ -13,28 +13,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 
 	"dragster/internal/experiment"
+	"dragster/internal/par"
 	"dragster/internal/workload"
 )
 
 func main() {
 	var (
-		wl      = flag.String("workload", "wordcount", "workload name")
-		rate    = flag.String("rate", "high", "offered load: high|low")
-		budget  = flag.Int("budget", 0, "task budget (0 = unbounded)")
-		workers = flag.Int("workers", 0, "grid evaluation goroutines (0 = one per CPU)")
+		wl     = flag.String("workload", "wordcount", "workload name")
+		rate   = flag.String("rate", "high", "offered load: high|low")
+		budget = flag.Int("budget", 0, "task budget (0 = unbounded)")
 	)
 	flag.Parse()
-	if err := run(*wl, *rate, *budget, *workers); err != nil {
+	if err := run(*wl, *rate, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "gridsweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, rate string, budget, workers int) error {
+func run(wl, rate string, budget int) error {
 	spec, err := workload.ByName(wl)
 	if err != nil {
 		return err
@@ -64,30 +62,16 @@ func run(wl, rate string, budget, workers int) error {
 	fmt.Println()
 
 	if spec.Graph.NumOperators() == 2 {
-		// The MaxTasks² cells are independent, so a bounded strided pool
-		// fills an index-addressed result grid and the rows print serially
-		// afterwards — same output at any worker count.
+		// The MaxTasks² cells are independent, so the worker pool fills an
+		// index-addressed result grid and the rows print serially
+		// afterwards — same output at any GOMAXPROCS.
 		n := spec.MaxTasks
 		cells := make([]float64, n*n)
 		errs := make([]error, n*n)
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(cells) {
-			workers = len(cells)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(cells); i += workers {
-					a, b := i/n+1, i%n+1
-					cells[i], errs[i] = experiment.SteadyThroughput(spec, rates, []int{a, b})
-				}
-			}(w)
-		}
-		wg.Wait()
+		par.For(len(cells), 0, func(i int) {
+			a, b := i/n+1, i%n+1
+			cells[i], errs[i] = experiment.SteadyThroughput(spec, rates, []int{a, b})
+		})
 		for _, err := range errs {
 			if err != nil {
 				return err

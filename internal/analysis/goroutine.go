@@ -3,25 +3,16 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 )
 
-// GoroutineAnalyzer requires every `go` statement under internal/ to
-// launch through a supervised lifecycle, so the event-driven fleet core
-// stays joinable and seed-deterministic: an unjoined goroutine races the
-// round loop and makes trace replay order-dependent.
-//
-// A launch is supervised when one of these holds:
-//
-//   - the goroutine body calls Done on a *sync.WaitGroup (usually
-//     deferred), so a wg.Wait() can join it;
-//   - the goroutine body sends on or closes a channel, signalling
-//     completion to a receiver;
-//   - the launched function takes a *sync.WaitGroup argument (the
-//     `go worker(&wg, ...)` form);
-//   - the launch site is inside a function whose doc comment carries
-//     `//lint:workerpool` — the designated, audited pool helper through
-//     which unsupervised-looking launches are funneled.
+// GoroutineAnalyzer enforces the one-pool rule: every `go` statement in
+// non-test internal/ code must sit inside a function whose doc comment
+// carries `//lint:workerpool`. That function is par.For — the one
+// audited, joined, index-addressed worker pool — so an unjoined
+// goroutine cannot race the round loop and make trace replay
+// order-dependent, and a second hand-rolled pool cannot creep back in.
+// A launch that genuinely needs another lifecycle takes a reasoned
+// `//lint:allow goroutine` waiver.
 //
 // cmd/ and examples/ own their runtime concerns and are out of scope, as
 // are _test.go files (tests poll and time out with the testing package's
@@ -29,9 +20,8 @@ import (
 func GoroutineAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "goroutine",
-		Doc: "require every go statement in internal/ to be supervised: join " +
-			"via sync.WaitGroup.Done, signal a done channel, take a " +
-			"*sync.WaitGroup, or launch inside a //lint:workerpool helper",
+		Doc: "require every go statement in internal/ to live in the " +
+			"//lint:workerpool helper (par.For)",
 		Run: runGoroutine,
 	}
 }
@@ -51,123 +41,18 @@ func runGoroutine(pass *Pass) []Diagnostic {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				gs, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
+				if gs, ok := n.(*ast.GoStmt); ok {
+					diags = append(diags, Diagnostic{
+						Pos:  gs.Pos(),
+						Rule: "goroutine",
+						Message: fmt.Sprintf("goroutine launched in %s: fan work out "+
+							"through par.For, the //lint:workerpool pool, so the "+
+							"run stays joined and replayable", fd.Name.Name),
+					})
 				}
-				if supervisedLaunch(pass, gs) {
-					return true
-				}
-				diags = append(diags, Diagnostic{
-					Pos:  gs.Pos(),
-					Rule: "goroutine",
-					Message: fmt.Sprintf("unsupervised goroutine in %s: join it via a "+
-						"sync.WaitGroup or done channel, or launch through a "+
-						"//lint:workerpool helper, so the run stays replayable",
-						fd.Name.Name),
-				})
 				return true
 			})
 		}
 	}
 	return diags
-}
-
-// supervisedLaunch applies the lifecycle tests to one go statement.
-func supervisedLaunch(pass *Pass, gs *ast.GoStmt) bool {
-	// go worker(&wg, ...): the callee receives the WaitGroup and is
-	// responsible for Done.
-	for _, arg := range gs.Call.Args {
-		if t := pass.Info.TypeOf(arg); t != nil && isWaitGroupPtr(t) {
-			return true
-		}
-	}
-	var body *ast.BlockStmt
-	switch fn := ast.Unparen(gs.Call.Fun).(type) {
-	case *ast.FuncLit:
-		body = fn.Body
-	default:
-		// Named same-package function: inspect its declaration if we can
-		// find it; cross-package launches must use one of the other forms.
-		obj := calledFunc(pass.Info, gs.Call)
-		if obj == nil {
-			return false
-		}
-		body = funcDeclBody(pass, obj)
-		if body == nil {
-			return false
-		}
-	}
-	return signalsCompletion(pass, body)
-}
-
-// signalsCompletion reports whether a goroutine body joins a WaitGroup or
-// signals a channel (send or close), directly or deferred.
-func signalsCompletion(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			found = true
-		case *ast.CallExpr:
-			if isWaitGroupDone(pass.Info, n) || isChanClose(pass.Info, n) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isWaitGroupDone matches x.Done() where x is a sync.WaitGroup (or
-// pointer / struct field thereof).
-func isWaitGroupDone(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Done" {
-		return false
-	}
-	t := info.TypeOf(sel.X)
-	return t != nil && (isWaitGroup(t) || isWaitGroupPtr(t))
-}
-
-func isChanClose(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "close"
-}
-
-func isWaitGroup(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-func isWaitGroupPtr(t types.Type) bool {
-	p, ok := t.Underlying().(*types.Pointer)
-	return ok && isWaitGroup(p.Elem())
-}
-
-// funcDeclBody finds the body of a function declared in this package.
-func funcDeclBody(pass *Pass, fn *types.Func) *ast.BlockStmt {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if def := pass.Info.Defs[fd.Name]; def == fn {
-				return fd.Body
-			}
-		}
-	}
-	return nil
 }

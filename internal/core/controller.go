@@ -78,12 +78,6 @@ type Config struct {
 	// (0 disables; the defaults are well-calibrated for the built-in
 	// workloads, so this mainly serves custom capacity scales).
 	HyperoptEvery int
-	// HyperoptWorkers bounds the worker pool each hyperparameter refit
-	// uses to evaluate the LML grid in parallel (0 = automatic, capped at
-	// GOMAXPROCS). The grid argmax is reduced in grid order, so any worker
-	// count yields byte-identical kernels; this knob only trades refit
-	// latency against CPU.
-	HyperoptWorkers int
 	// GPObservationBudget caps the observations each operator's GP
 	// retains (0 = unlimited). With a budget, per-slot cost and memory
 	// stay flat over unbounded horizons — the month-long deployments the
@@ -241,7 +235,6 @@ func New(cfg Config) (*Controller, error) {
 			Kernel:            capacityKernel(cfg.Candidates[i], capScale),
 			ExplorationScale:  cfg.ExplorationScale,
 			RefitEvery:        cfg.HyperoptEvery,
-			LMLWorkers:        cfg.HyperoptWorkers,
 			RNG:               cfg.RNG,
 			ObservationBudget: cfg.GPObservationBudget,
 			Eviction:          cfg.GPEviction,

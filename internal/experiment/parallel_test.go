@@ -90,51 +90,6 @@ func TestRepeatWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepByteIdentical pins the same property for Sweep across mixed
-// policies and seeds: results come back in input order, byte-identical
-// at any worker count.
-func TestSweepByteIdentical(t *testing.T) {
-	mkPoints := func() []SweepPoint {
-		mk := func(seed int64) Scenario {
-			sc := parallelScenario(t)
-			sc.Seed = seed
-			return sc
-		}
-		return []SweepPoint{
-			{Name: "saddle", Scenario: mk(2), Factory: DragsterSaddle()},
-			{Name: "ogd", Scenario: mk(3), Factory: DragsterOGD()},
-			{Name: "dhalion", Scenario: mk(4), Factory: DhalionPolicy()},
-		}
-	}
-	var want []string
-	for _, workers := range []int{1, 4} {
-		points := mkPoints()
-		runs, err := Sweep(points, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(runs) != len(points) {
-			t.Fatalf("workers=%d: got %d results, want %d", workers, len(runs), len(points))
-		}
-		got := make([]string, len(runs))
-		for i, res := range runs {
-			if res.Policy == "" {
-				t.Fatalf("workers=%d: point %d (%s) missing result", workers, i, points[i].Name)
-			}
-			got[i] = resultJSON(t, res)
-		}
-		if workers == 1 {
-			want = got
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: point %d (%s) differs from sequential run", workers, i, points[i].Name)
-			}
-		}
-	}
-}
-
 // TestRepeatWorkersErrorIsSeedOrdered pins the failure contract: when
 // several seeds fail, the reported error is the lowest-index one, the
 // same a sequential Repeat would surface first.
@@ -147,5 +102,20 @@ func TestRepeatWorkersErrorIsSeedOrdered(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "seed 3:") {
 		t.Errorf("error %q does not name the first seed", err)
+	}
+}
+
+// TestRunRejectsNilFactory: a nil policy factory is an error from
+// NewRunner, and so from Run and every fan-out over it, never a crash.
+func TestRunRejectsNilFactory(t *testing.T) {
+	sc := parallelScenario(t)
+	if _, err := NewRunner(sc, nil); err == nil || !strings.Contains(err.Error(), "nil policy factory") {
+		t.Errorf("NewRunner(nil factory) err = %v", err)
+	}
+	if _, err := Run(sc, nil); err == nil {
+		t.Error("Run accepted a nil factory")
+	}
+	if _, err := RepeatWorkers(sc, nil, []int64{1, 2}, 2); err == nil || !strings.Contains(err.Error(), "seed 1:") {
+		t.Errorf("RepeatWorkers(nil factory) err = %v, want the first seed's error", err)
 	}
 }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
+
+	"dragster/internal/par"
 )
 
 // Aggregate summarizes one metric across repeated runs.
@@ -63,6 +66,39 @@ type RepeatResult struct {
 // metrics. The scenario's own Seed field is ignored.
 func Repeat(sc Scenario, factory PolicyFactory, seeds []int64) (*RepeatResult, error) {
 	return RepeatWorkers(sc, factory, seeds, 0)
+}
+
+// RepeatWorkers is Repeat with an explicit worker count (≤ 0 = one per
+// CPU). Independent seeds build their own cluster, engine, RNG and
+// policy inside Run, so they share no mutable state beyond the
+// scenario's pointer fields: Spec and ControllerGraph are immutable
+// after Build, capacity models are stateless values, and Counters is
+// mutex-protected with order-insensitive sums. The runs fan out through
+// par.For into per-seed slots and are aggregated serially in seed order,
+// so the output is byte-identical to workers=1. A scenario with a Tracer
+// runs on one worker: the tracer is single-threaded by contract and
+// would be shared by every per-seed run.
+func RepeatWorkers(sc Scenario, factory PolicyFactory, seeds []int64, workers int) (*RepeatResult, error) {
+	if len(seeds) == 0 {
+		return nil, errors.New("experiment: Repeat needs at least one seed")
+	}
+	if sc.Tracer != nil {
+		workers = 1
+	}
+	runs := make([]*Result, len(seeds))
+	errs := make([]error, len(seeds))
+	par.For(len(seeds), workers, func(i int) {
+		s := sc
+		s.Seed = seeds[i]
+		runs[i], errs[i] = Run(s, factory)
+	})
+	// First failure in seed order wins, matching the sequential behaviour.
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiment: seed %d: %w", seeds[i], err)
+		}
+	}
+	return aggregateRuns(runs)
 }
 
 // aggregateRuns folds completed per-seed runs, in seed order, into the

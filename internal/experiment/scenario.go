@@ -227,14 +227,12 @@ func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 		if sc.ControllerGraph != nil {
 			g = sc.ControllerGraph
 		}
-		cands := taskCandidates(sc.Spec)
+		cands, err := operatorCandidates(sc.Spec, sc.VerticalScaling)
+		if err != nil {
+			return nil, err
+		}
 		hyperopt := 0
 		if sc.VerticalScaling {
-			var err error
-			cands, err = resourceCandidates(sc.Spec)
-			if err != nil {
-				return nil, err
-			}
 			// The 2-D candidate set is 4× larger and the prior variance is
 			// sized for the largest configurations, so let the GP re-fit
 			// its kernel as data arrives — otherwise the exploration bonus
@@ -263,9 +261,14 @@ func dragsterFactory(method osp.Method, acq ucb.Acquisition) PolicyFactory {
 	}
 }
 
-// resourceCandidates builds the 2-D (tasks, cpuMilli) grid per operator.
-func resourceCandidates(spec *workload.Spec) ([][][]float64, error) {
-	grid, err := store.Grid2D(1, spec.MaxTasks, 500, 2000, 500)
+// operatorCandidates gives every operator of spec the same candidate
+// grid: the task counts 1..MaxTasks, or under vertical scaling the 2-D
+// (tasks, cpuMilli) grid.
+func operatorCandidates(spec *workload.Spec, vertical bool) ([][][]float64, error) {
+	grid, err := store.TaskGrid(1, spec.MaxTasks)
+	if vertical {
+		grid, err = store.Grid2D(1, spec.MaxTasks, 500, 2000, 500)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -274,19 +277,6 @@ func resourceCandidates(spec *workload.Spec) ([][][]float64, error) {
 		out[i] = grid
 	}
 	return out, nil
-}
-
-func taskCandidates(spec *workload.Spec) [][][]float64 {
-	m := spec.Graph.NumOperators()
-	grid := make([][]float64, spec.MaxTasks)
-	for n := 1; n <= spec.MaxTasks; n++ {
-		grid[n-1] = []float64{float64(n)}
-	}
-	out := make([][][]float64, m)
-	for i := range out {
-		out[i] = grid
-	}
-	return out
 }
 
 // DhalionPolicy builds the rule-based baseline.
@@ -391,6 +381,9 @@ type Runner struct {
 // session, dataflow engine, monitor, policy) and precomputes the per-phase
 // optima.
 func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
+	if factory == nil {
+		return nil, errors.New("experiment: nil policy factory")
+	}
 	if err := sc.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -415,7 +408,7 @@ func NewRunner(sc Scenario, factory PolicyFactory) (*Runner, error) {
 	sc.Tracer.SetClock(k8s.Clock)
 	k8s.SetTracer(sc.Tracer)
 	rng := stats.NewRNG(sc.Seed)
-	peak := peakRate(sc.Rates, sc.Slots)
+	peak := workload.PeakRate(sc.Rates, sc.Slots)
 	var maxBuf float64
 	if sc.MaxBufferSeconds > 0 {
 		maxBuf = sc.MaxBufferSeconds * math.Max(peak, 1)
@@ -693,16 +686,4 @@ func Run(sc Scenario, factory PolicyFactory) (*Result, error) {
 		}
 	}
 	return r.Result(), nil
-}
-
-func peakRate(f workload.RateFunc, slots int) float64 {
-	var peak float64
-	for s := 0; s < slots; s++ {
-		for _, r := range f(s, 0) {
-			if r > peak {
-				peak = r
-			}
-		}
-	}
-	return peak
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // benchmarkFleetRound measures one steady-state fleet round (simulate
-// every tenant's slot, collect, decide across the shard pools, apply,
+// every tenant's slot, collect, decide across the worker pool, apply,
 // record) at the given tenant and shard count. Manager construction and
 // the first round — which admits every tenant and builds its stack —
 // happen outside the timer; each b.N iteration is exactly one Step.

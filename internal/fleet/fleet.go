@@ -28,10 +28,9 @@
 // encoding. The log is the behavioural identity of a run: two runs are
 // the same iff their trace bytes are equal, which is how the tests prove
 // that shard count, worker count, and mid-run failover are all invisible
-// to the outcome. Per-tenant decide steps are dispatched across
-// per-shard controller pools (see the shard subpackage); events are only
-// ever emitted from the sequential section of the round loop, never from
-// worker goroutines.
+// to the outcome. Per-tenant decide steps fan out through par.For into
+// per-tenant slots; events are only ever emitted from the sequential
+// section of the round loop, never from worker goroutines.
 //
 // Everything is deterministic at a fixed seed: jobs are processed in a
 // stable order, the arbiter is a pure function of observable state, and
@@ -41,6 +40,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"strconv"
@@ -49,10 +49,10 @@ import (
 	"dragster/internal/cluster"
 	"dragster/internal/core"
 	"dragster/internal/fleet/event"
-	"dragster/internal/fleet/shard"
 	"dragster/internal/flink"
 	"dragster/internal/monitor"
 	"dragster/internal/osp"
+	"dragster/internal/par"
 	"dragster/internal/planner"
 	"dragster/internal/stats"
 	"dragster/internal/store"
@@ -247,17 +247,18 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// ForecastAlpha enables Holt load forecasting in every controller.
 	ForecastAlpha float64
-	// DecideWorkers bounds the per-round controller fan-out: each round's
-	// independent tenant decisions run on this many goroutines (0 = one
-	// per CPU). The reduction is always in admission order, so the result
-	// is byte-identical at any worker count; a Tracer forces 1.
+	// DecideWorkers is the per-shard share of the per-round decide
+	// fan-out: each round's independent tenant decisions run on
+	// Shards × DecideWorkers goroutines (0 = ⌈GOMAXPROCS/Shards⌉ per
+	// shard, so one per CPU in total). The reduction is always in
+	// admission order, so the result is byte-identical at any worker
+	// count; a Tracer forces one worker.
 	DecideWorkers int
-	// Shards partitions the running tenants into deterministic ownership
-	// domains — each job name hashes to one shard, and each shard runs its
-	// tenants' decide steps on its own pool of DecideWorkers goroutines.
-	// Shards is purely a throughput knob: events carry no shard
-	// information, so the event trace and every result are byte-identical
-	// at any shard count (default 1).
+	// Shards labels the running tenants with deterministic ownership
+	// domains — each job name hashes to one shard, reported by the
+	// fleet_shard_jobs gauges — and multiplies the decide worker count.
+	// Events carry no shard information, so the event trace and every
+	// result are byte-identical at any shard count (default 1).
 	Shards int
 }
 
@@ -504,10 +505,10 @@ type Manager struct {
 	res     *Result
 	kills   map[string]bool // names marked for departure next round
 
-	log    *event.Log        // committed control-plane history (the trace)
-	inbox  *event.MessageSet // external inputs awaiting their round
-	pool   *shard.Pool       // per-shard decide dispatch
-	inputs []InputRecord     // external inputs in stamp order, for replay
+	log     *event.Log        // committed control-plane history (the trace)
+	inbox   *event.MessageSet // external inputs awaiting their round
+	workers int               // decide fan-out width; 1 under a tracer
+	inputs  []InputRecord     // external inputs in stamp order, for replay
 }
 
 // InputRecord is one external input (dynamic submission or kill) in the
@@ -538,17 +539,18 @@ func New(cfg Config) (*Manager, error) {
 		log:     event.NewLog(),
 		inbox:   event.NewMessageSet(),
 	}
-	workers := cfg.DecideWorkers
-	if workers == 0 {
-		// Spread the CPU across the shards; at one shard this matches the
-		// historical one-worker-per-core fan-out exactly.
-		workers = (runtime.GOMAXPROCS(0) + cfg.Shards - 1) / cfg.Shards
+	perShard := cfg.DecideWorkers
+	if perShard == 0 {
+		// Spread the CPU across the shards; at one shard this is one
+		// worker per core.
+		perShard = (runtime.GOMAXPROCS(0) + cfg.Shards - 1) / cfg.Shards
 	}
-	pool, err := shard.NewPool(cfg.Shards, workers)
-	if err != nil {
-		return nil, err
+	m.workers = cfg.Shards * perShard
+	if m.tracer != nil {
+		// Span emission is single-threaded by contract: one worker runs
+		// the tenants inline in admission order.
+		m.workers = 1
 	}
-	m.pool = pool
 	nNodes := cfg.Nodes
 	if nNodes == 0 {
 		// Size for the budget plus the JobManager, at ~4 task slots per
@@ -994,10 +996,8 @@ type decision struct {
 
 // decideAll runs every controller's Algorithm-2 pass for the round. The
 // controllers are independent (each owns its GPs, duals, and a private
-// history DB), so the passes fan out across per-shard controller pools:
-// each tenant belongs to the shard its name hashes to, and each shard
-// walks its members on Config.DecideWorkers strided goroutines. The
-// registry and counters the controllers share are concurrent-safe and
+// history DB), so the passes fan out through par.For. The registry and
+// counters the controllers share are concurrent-safe and
 // order-insensitive, and results land in per-tenant slots reduced in
 // admission order, so the round is byte-identical at any shard or worker
 // count. A tracer serializes the fan-out (span emission is
@@ -1017,12 +1017,9 @@ func (m *Manager) decideAll(snaps []*monitor.Snapshot) ([]decision, error) {
 		}
 		out[i] = decision{desired: desired, diag: diag}
 	}
-	members := m.pool.Partition(len(m.running), func(i int) int {
-		return shard.Owner(m.running[i].spec.Name, m.cfg.Shards)
-	})
 	sp := m.tracer.Begin("fleet", "decide_dispatch",
 		telemetry.Int("tenants", len(m.running)), telemetry.Int("shards", m.cfg.Shards))
-	m.pool.Dispatch(members, m.tracer != nil, decideOne)
+	par.For(len(m.running), m.workers, decideOne)
 	sp.End()
 	// First failure in admission order wins, matching a sequential pass.
 	for _, err := range errs {
@@ -1137,7 +1134,7 @@ func (m *Manager) gauges() {
 	reg.SetGauge("fleet_shards", float64(m.cfg.Shards))
 	shardJobs := make([]int, m.cfg.Shards)
 	for _, js := range m.running {
-		shardJobs[shard.Owner(js.spec.Name, m.cfg.Shards)]++
+		shardJobs[shardOwner(js.spec.Name, m.cfg.Shards)]++
 	}
 	for s, n := range shardJobs {
 		reg.SetGauge(telemetry.Label("fleet_shard_jobs", "shard", strconv.Itoa(s)), float64(n))
@@ -1145,6 +1142,19 @@ func (m *Manager) gauges() {
 	reg.SetGauge("fleet_inbox_pending", float64(m.inbox.Pending()))
 	reg.SetGauge("fleet_inbox_deduped", float64(m.inbox.Deduped()))
 	reg.SetGauge("fleet_events_committed", float64(m.log.Len()))
+}
+
+// shardOwner returns the shard that owns the given job name, in
+// [0, shards). Ownership is a stable FNV-1a hash of the name, so it does
+// not change when tenants arrive or depart (consistent ownership is what
+// makes the per-shard gauges meaningful across a run).
+func shardOwner(name string, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return int(h.Sum32() % uint32(shards))
 }
 
 // dualPrice condenses a job's dual vector into its scalar shadow price:
@@ -1200,8 +1210,16 @@ func estimateNeed(snap *monitor.Snapshot, maxTasks int) int {
 // monitor, controller (warm-started from the kind archive), and retrier.
 func (m *Manager) buildStack(js *jobState, r int) error {
 	spec := js.spec.Workload
+	grid, err := store.TaskGrid(1, spec.MaxTasks)
+	if err != nil {
+		return err
+	}
+	cands := make([][][]float64, spec.Graph.NumOperators())
+	for i := range cands {
+		cands[i] = grid
+	}
 	rng := stats.NewRNG(m.cfg.Seed + int64(js.idx+1)*100003)
-	peak := peakRate(js.spec.Rates, m.cfg.Slots)
+	peak := workload.PeakRate(js.spec.Rates, m.cfg.Slots)
 	var maxBuf float64
 	if m.cfg.MaxBufferSeconds > 0 {
 		maxBuf = m.cfg.MaxBufferSeconds * math.Max(peak, 1)
@@ -1258,7 +1276,7 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 		TaskBudget:    js.budget,
 		YMax:          spec.YMax,
 		NoiseVar:      noiseSD * noiseSD,
-		Candidates:    taskCandidates(spec),
+		Candidates:    cands,
 		ForecastAlpha: m.cfg.ForecastAlpha,
 		Counters:      m.cfg.Counters,
 		DB:            db,
@@ -1289,28 +1307,4 @@ func (m *Manager) buildStack(js *jobState, r int) error {
 		js.res.PlanProbes = len(js.plan.Probes)
 	}
 	return nil
-}
-
-func taskCandidates(spec *workload.Spec) [][][]float64 {
-	grid := make([][]float64, spec.MaxTasks)
-	for n := 1; n <= spec.MaxTasks; n++ {
-		grid[n-1] = []float64{float64(n)}
-	}
-	out := make([][][]float64, spec.Graph.NumOperators())
-	for i := range out {
-		out[i] = grid
-	}
-	return out
-}
-
-func peakRate(f workload.RateFunc, slots int) float64 {
-	var peak float64
-	for s := 0; s < slots; s++ {
-		for _, r := range f(s, 0) {
-			if r > peak {
-				peak = r
-			}
-		}
-	}
-	return peak
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
 	"dragster/internal/chaos"
@@ -37,5 +38,57 @@ func TestFleetDecideWorkersByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConfigRejectsNegativeShape: a negative shard or worker count is a
+// configuration error, not a request for the default.
+func TestConfigRejectsNegativeShape(t *testing.T) {
+	cfg := threeJobConfig(t)
+	cfg.Shards = -1
+	if _, err := New(cfg); err == nil {
+		t.Error("negative Shards accepted")
+	}
+	cfg = threeJobConfig(t)
+	cfg.DecideWorkers = -1
+	if _, err := New(cfg); err == nil {
+		t.Error("negative DecideWorkers accepted")
+	}
+}
+
+func TestOwnerStableAndInRange(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		for i := 0; i < 100; i++ {
+			name := fmt.Sprintf("job-%03d", i)
+			a := shardOwner(name, shards)
+			b := shardOwner(name, shards)
+			if a != b {
+				t.Fatalf("shardOwner(%q, %d) unstable: %d then %d", name, shards, a, b)
+			}
+			if a < 0 || a >= shards {
+				t.Fatalf("shardOwner(%q, %d) = %d out of range", name, shards, a)
+			}
+		}
+	}
+	if shardOwner("anything", 1) != 0 {
+		t.Fatal("single shard must own everything")
+	}
+}
+
+func TestOwnerSpreadsLoad(t *testing.T) {
+	const shards, jobs = 16, 1000
+	counts := make([]int, shards)
+	for i := 0; i < jobs; i++ {
+		counts[shardOwner(fmt.Sprintf("job-%04d", i), shards)]++
+	}
+	for s, c := range counts {
+		// A uniform split is 62.5; allow generous skew but no dead or
+		// pathologically hot shard.
+		if c == 0 {
+			t.Fatalf("shard %d owns no jobs", s)
+		}
+		if c > jobs/shards*3 {
+			t.Fatalf("shard %d owns %d of %d jobs", s, c, jobs)
+		}
 	}
 }

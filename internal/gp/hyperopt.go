@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"dragster/internal/par"
 )
 
 // SetKernel swaps the regressor's kernel, keeping all observations; the
@@ -45,28 +45,21 @@ func DefaultHyperGrid(diameter, targetVar float64) (HyperGrid, error) {
 	return g, nil
 }
 
-// MaximizeLML fits SE-kernel hyperparameters by exhaustive search over the
-// grid, maximizing the log marginal likelihood of the regressor's current
-// observations, with a worker count chosen automatically. See
-// MaximizeLMLWorkers.
+// MaximizeLML fits SE-kernel hyperparameters by exhaustive search over
+// the grid, maximizing the log marginal likelihood of the regressor's
+// current observations. Every (lengthScale, variance) grid point's log
+// marginal likelihood is evaluated on a snapshot of the observations
+// through par.For. Each evaluation builds and factorizes its own Gram
+// matrix, so the live regressor — kernel, factorization, information
+// gain — is untouched until a winner is chosen; every non-success path
+// therefore leaves the pre-call kernel in place. The argmax is reduced
+// serially in grid order (length scales outer, variances inner, first
+// strict improvement wins), so the selected kernel is byte-identical
+// regardless of GOMAXPROCS or goroutine scheduling. On success the
+// regressor's kernel is replaced by the best one and the winning
+// (lengthScale, variance, lml) triple is returned. With fewer than 3
+// observations it is a no-op returning ErrTooFewPoints.
 func (r *Regressor) MaximizeLML(grid HyperGrid) (lengthScale, variance, lml float64, err error) {
-	return r.MaximizeLMLWorkers(grid, 0)
-}
-
-// MaximizeLMLWorkers evaluates every (lengthScale, variance) grid point's
-// log marginal likelihood on a snapshot of the observations across a
-// bounded worker pool (workers ≤ 0 selects min(GOMAXPROCS, grid size)).
-// Each worker builds and factorizes its own Gram matrix, so the live
-// regressor — kernel, factorization, information gain — is untouched
-// until a winner is chosen; every non-success path therefore leaves the
-// pre-call kernel in place. The argmax is reduced serially in grid order
-// (length scales outer, variances inner, first strict improvement wins),
-// so the selected kernel is byte-identical regardless of worker count or
-// goroutine scheduling. On success the regressor's kernel is replaced by
-// the best one and the winning (lengthScale, variance, lml) triple is
-// returned. With fewer than 3 observations it is a no-op returning
-// ErrTooFewPoints.
-func (r *Regressor) MaximizeLMLWorkers(grid HyperGrid, workers int) (lengthScale, variance, lml float64, err error) {
 	if r.Len() < 3 {
 		return 0, 0, 0, ErrTooFewPoints
 	}
@@ -90,33 +83,19 @@ func (r *Regressor) MaximizeLMLWorkers(grid HyperGrid, workers int) (lengthScale
 		}
 		kernels[i] = k
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 	// xs/ys are append-only and not mutated for the duration of the call
 	// (the Regressor is single-owner), so sharing the backing slices with
 	// the workers is a read-only snapshot.
 	lmls := make([]float64, len(points))
 	feasible := make([]bool, len(points))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(points); i += workers {
-				mean, chol, alpha, ferr := fitSystem(r.xs, r.ys, r.ySum, kernels[i], r.noiseVar)
-				if ferr != nil {
-					continue // numerically infeasible combination; skip
-				}
-				lmls[i] = lmlFromFit(r.ys, mean, alpha, chol)
-				feasible[i] = true
-			}
-		}(w)
-	}
-	wg.Wait()
+	par.For(len(points), 0, func(i int) {
+		mean, chol, alpha, ferr := fitSystem(r.xs, r.ys, r.ySum, kernels[i], r.noiseVar)
+		if ferr != nil {
+			return // numerically infeasible combination; skip
+		}
+		lmls[i] = lmlFromFit(r.ys, mean, alpha, chol)
+		feasible[i] = true
+	})
 	best := -1
 	bestLML := math.Inf(-1)
 	for i := range points {

@@ -3,6 +3,7 @@ package gp
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"dragster/internal/stats"
@@ -144,8 +145,8 @@ func TestMaximizeLMLRestoresKernelOnError(t *testing.T) {
 }
 
 // TestMaximizeLMLDeterministicAcrossWorkerCounts: the grid argmax is
-// reduced in grid order, so any worker pool size must select the exact
-// same kernel with the exact same LML — this is what keeps seeded runs
+// reduced in grid order, so the pool's size — GOMAXPROCS — must not
+// change the selected kernel or its LML. This is what keeps seeded runs
 // byte-identical with parallel hyperparameter search enabled.
 func TestMaximizeLMLDeterministicAcrossWorkerCounts(t *testing.T) {
 	build := func() *Regressor {
@@ -163,24 +164,25 @@ func TestMaximizeLMLDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	r1 := build()
-	ls1, v1, lml1, err := r1.MaximizeLMLWorkers(grid, 1)
+	ls1, v1, lml1, err := r1.MaximizeLML(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 7, 32, 0} {
-		r := build()
-		ls, v, lml, err := r.MaximizeLMLWorkers(grid, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ls != ls1 || v != v1 || lml != lml1 {
-			t.Errorf("workers=%d: (ℓ, σ², lml) = (%v, %v, %v), want (%v, %v, %v) from serial",
-				workers, ls, v, lml, ls1, v1, lml1)
-		}
-		if r.Kernel() != r1.Kernel() {
-			t.Errorf("workers=%d: kernel %#v differs from serial %#v", workers, r.Kernel(), r1.Kernel())
-		}
+	runtime.GOMAXPROCS(4)
+	r := build()
+	ls, v, lml, err := r.MaximizeLML(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls != ls1 || v != v1 || lml != lml1 {
+		t.Errorf("GOMAXPROCS=4: (ℓ, σ², lml) = (%v, %v, %v), want (%v, %v, %v) from GOMAXPROCS=1",
+			ls, v, lml, ls1, v1, lml1)
+	}
+	if r.Kernel() != r1.Kernel() {
+		t.Errorf("GOMAXPROCS=4: kernel %#v differs from GOMAXPROCS=1 %#v", r.Kernel(), r1.Kernel())
 	}
 }
 

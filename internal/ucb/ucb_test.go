@@ -3,6 +3,7 @@ package ucb
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -430,17 +431,15 @@ func TestSelectMatchesUncachedPosteriors(t *testing.T) {
 }
 
 // TestSearchDeterministicWithParallelLML runs the same seeded search —
-// hyperparameter refits enabled — under different LML worker pool sizes
-// and requires the full selection trajectory to be identical: the
-// parallel grid search must not leak scheduling nondeterminism into the
-// seeded experiments.
+// hyperparameter refits enabled — at GOMAXPROCS 1 and 4 and requires the
+// full selection trajectory to be identical: the parallel grid search
+// must not leak scheduling nondeterminism into the seeded experiments.
 func TestSearchDeterministicWithParallelLML(t *testing.T) {
-	trajectory := func(workers int) []int {
+	trajectory := func() []int {
 		s, err := NewSearcher(Config{
 			NoiseVar:   25,
 			Candidates: taskCandidates(t),
 			RefitEvery: 5,
-			LMLWorkers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -460,13 +459,14 @@ func TestSearchDeterministicWithParallelLML(t *testing.T) {
 		}
 		return picks
 	}
-	serial := trajectory(1)
-	for _, workers := range []int{2, 8, 0} {
-		got := trajectory(workers)
-		for i := range serial {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: step %d selected %d, serial selected %d", workers, i, got[i], serial[i])
-			}
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	serial := trajectory()
+	runtime.GOMAXPROCS(4)
+	got := trajectory()
+	for i := range serial {
+		if got[i] != serial[i] {
+			t.Fatalf("GOMAXPROCS=4: step %d selected %d, GOMAXPROCS=1 selected %d", i, got[i], serial[i])
 		}
 	}
 }

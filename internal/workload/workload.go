@@ -320,6 +320,21 @@ func ByName(name string) (*Spec, error) {
 // RateFunc returns the offered source rates at a (slot, second) position.
 type RateFunc func(slot, sec int) []float64
 
+// PeakRate is the largest source rate f offers at the start (second 0)
+// of any of its first slots slots; run harnesses size their buffers from
+// it.
+func PeakRate(f RateFunc, slots int) float64 {
+	var peak float64
+	for s := 0; s < slots; s++ {
+		for _, r := range f(s, 0) {
+			if r > peak {
+				peak = r
+			}
+		}
+	}
+	return peak
+}
+
 // Constant returns a profile with fixed rates.
 func Constant(rates []float64) (RateFunc, error) {
 	if len(rates) == 0 {
